@@ -30,8 +30,14 @@ def query_corpus():
 
 @pytest.fixture(scope="session")
 def query_engines(query_corpus):
-    """One engine per contender scheme, built once."""
+    """One engine per contender scheme, built once.
+
+    Pinned to ``strategy="scan"`` like the Figure 15 exhibit
+    (:func:`repro.bench.response.figure15_table`): these benchmarks measure
+    the paper's relational label-comparison scans, and the default ``auto``
+    planner would route every scheme through the window operator instead.
+    """
     return {
-        scheme: QueryEngine(LabelStore.build(query_corpus, scheme=scheme))
+        scheme: QueryEngine(LabelStore.build(query_corpus, scheme=scheme), strategy="scan")
         for scheme in ("interval", "prime", "prefix-2")
     }

@@ -557,12 +557,101 @@ class FsyncContainmentRule(Rule):
                 )
 
 
+#: The fields of :class:`repro.query.store.ElementRow` (a test pins this
+#: set to the dataclass, so a new column cannot slip past R11).
+ROW_FIELDS = frozenset(
+    {"doc_id", "element_id", "tag", "label", "depth", "parent_id", "node", "text"}
+)
+#: Calls returning one row, and calls/containers holding rows.
+_ROW_CALLS = {"row_of", "ElementRow"}
+_ROW_MAPS = {"_row_by_id", "_row_by_node"}
+_ROWS_CALLS = {"rows_in_doc", "rows_with_tag", "evaluate", "query", "delete_subtree"}
+_ROWS_MAPS = {"_by_doc", "_by_doc_tag"}
+_ROW_ANNOTATION = re.compile(r"^(Optional\[)?ElementRow(\]| \| None)?$")
+
+
+def _identifier(expr: ast.expr) -> str:
+    if isinstance(expr, ast.Name):
+        return expr.id
+    if isinstance(expr, ast.Attribute):
+        return expr.attr
+    return ""
+
+
+def _is_rows(expr: ast.expr) -> bool:
+    """Whether ``expr`` is (best effort) a collection of store rows."""
+    name = _identifier(expr)
+    if name == "rows" or name.endswith("_rows"):
+        return True
+    if isinstance(expr, ast.Call):
+        return _identifier(expr.func) in _ROWS_CALLS
+    if isinstance(expr, ast.Subscript):
+        return _identifier(expr.value) in _ROWS_MAPS
+    return False
+
+
+def _is_row(expr: ast.expr, row_names: Set[str]) -> bool:
+    """Whether ``expr`` is (best effort) one store row."""
+    if isinstance(expr, ast.Name):
+        return expr.id in row_names or expr.id == "row" or expr.id.endswith("_row")
+    if isinstance(expr, ast.Attribute):
+        return expr.attr == "row" or expr.attr.endswith("_row")
+    if isinstance(expr, ast.Subscript):
+        return _is_rows(expr.value) or _identifier(expr.value) in _ROW_MAPS
+    if isinstance(expr, ast.Call):
+        func = _identifier(expr.func)
+        if func in _ROW_CALLS:
+            return True
+        if func == "get" and isinstance(expr.func, ast.Attribute):
+            return _identifier(expr.func.value) in _ROW_MAPS
+        if func == "replace" and expr.args:
+            return _is_row(expr.args[0], row_names)
+    return False
+
+
+def _scope_nodes(scope: ast.AST) -> Iterator[ast.AST]:
+    """Nodes of one scope, not descending into nested defs or classes."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _row_names(scope: ast.AST) -> Set[str]:
+    """Local names bound to rows in ``scope``: row-annotated parameters,
+    names assigned a row, and loop targets over row collections."""
+    names: Set[str] = set()
+    if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        arguments = scope.args
+        for arg in arguments.posonlyargs + arguments.args + arguments.kwonlyargs:
+            if arg.annotation is not None:
+                text = ast.unparse(arg.annotation).replace('"', "").replace("'", "")
+                if _ROW_ANNOTATION.match(text):
+                    names.add(arg.arg)
+    nodes = list(_scope_nodes(scope))
+    # Two sweeps let a name bound from another row name be seen in any order.
+    for _ in range(2):
+        for node in nodes:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+                if _is_row(node.value, names):
+                    for target in _flatten_targets(_assign_targets(node)):
+                        if isinstance(target, ast.Name):
+                            names.add(target.id)
+            elif isinstance(node, (ast.For, ast.comprehension)) and _is_rows(node.iter):
+                if isinstance(node.target, ast.Name):
+                    names.add(node.target.id)
+    return names
+
+
 @register
 class WindowMaintenanceRule(Rule):
-    """R11 — window-index maintenance stays in the store/live layer."""
+    """R11 — store/window maintenance stays in the store/live layer, and
+    store rows are never written in place."""
 
     id = "R11"
-    title = "window-index maintenance outside the store/live layer"
+    title = "store/window maintenance outside the store/live layer, or a row written in place"
     severity = Severity.ERROR
     rationale = (
         "The pre/post/level/size columns are trusted by the window "
@@ -570,14 +659,16 @@ class WindowMaintenanceRule(Rule):
         "through LabelStore's row mutators (which keep rows, tag buckets, "
         "and the WindowIndex in lockstep) and LiveCollection's patch "
         "hooks; a bench or service module touching the maintenance API "
-        "directly would desynchronize the columns from the tree."
+        "directly would desynchronize the columns from the tree.  Rows "
+        "are shared by reference with published MVCC views, so assigning "
+        "to a row's field would change every view holding it."
     )
 
     #: Modules allowed to import the column machinery at all (readers of
     #: the entry types included: the engine binary-searches them).
     _IMPORT_SCOPE = "query"
     #: WindowIndex mutators — callable only where the index is owned.
-    _INDEX_MUTATORS = {"apply_insert", "apply_delete"}
+    _INDEX_MUTATORS = {"apply_insert", "apply_delete", "replace_row"}
     _INDEX_CALLERS = ("repro.query.store", "repro.query.window")
     #: LabelStore row mutators — callable only from the live patch hooks
     #: (and the store itself).
@@ -601,7 +692,65 @@ class WindowMaintenanceRule(Rule):
                 return "repro.query.window"
         return None
 
+    def _row_writes(self, ctx: FileContext) -> Iterator[Finding]:
+        """Assignments (and ``setattr``/``del``) to a row's fields.
+
+        Rows are recognized best effort: names annotated, assigned or
+        iterated as rows, ``*.row`` back-references, names ending in
+        ``row``, and the store's row maps and lists.  The body of
+        ``class ElementRow`` itself (row construction) is exempt.
+        """
+        exempt: Set[int] = set()
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.ClassDef) and node.name == "ElementRow":
+                exempt.update(id(inner) for inner in ast.walk(node))
+        scopes: List[ast.AST] = [ctx.tree]
+        scopes.extend(
+            node
+            for node in ast.walk(ctx.tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and id(node) not in exempt
+        )
+        for scope in scopes:
+            names = _row_names(scope)
+            for node in _scope_nodes(scope):
+                targets: List[ast.expr] = []
+                if isinstance(node, ast.Delete):
+                    targets = list(_flatten_targets(iter(node.targets)))
+                elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                    targets = list(_flatten_targets(_assign_targets(node)))
+                elif (
+                    isinstance(node, ast.Call)
+                    and _identifier(node.func) in {"setattr", "__setattr__"}
+                    and node.args
+                ):
+                    # setattr(row, ...) and object.__setattr__(row, ...)
+                    if _is_row(node.args[0], names):
+                        yield self.emit(
+                            ctx,
+                            node,
+                            f"{_identifier(node.func)}() on a store row writes "
+                            "it in place; rows are immutable once built",
+                        )
+                    continue
+                for target in targets:
+                    if (
+                        isinstance(target, ast.Attribute)
+                        and target.attr in ROW_FIELDS
+                        and _is_row(target.value, names)
+                    ):
+                        receiver = dotted_name(target.value) or "<row>"
+                        yield self.emit(
+                            ctx,
+                            target,
+                            f"{receiver}.{target.attr} written in place; store "
+                            "rows are immutable once built (published views "
+                            "share them) — build a new row and swap it in "
+                            "through LabelStore",
+                        )
+
     def check(self, ctx: FileContext) -> Iterator[Finding]:
+        yield from self._row_writes(ctx)
         in_query = ctx.in_package(self._IMPORT_SCOPE)
         for node in ast.walk(ctx.tree):
             if not in_query:

@@ -290,9 +290,19 @@ class RecoveredState:
 
 
 def _node_at(collection: LiveCollection, doc: int, position: int) -> XmlElement:
+    """Resolve a WAL address: the node at preorder ``position`` of ``doc``.
+
+    A collection with a cached engine (a replica applying polled records)
+    answers from its window columns' pre ranks; otherwise — recovery
+    replays into a collection with no engine, and none is built just for
+    this — the address is found by a preorder walk.
+    """
     roots = collection.documents
     if not 0 <= doc < len(roots):
         raise DurabilityError(f"WAL references document {doc}; have {len(roots)}")
+    node = collection.cached_node_at(doc, position)
+    if node is not None:
+        return node
     for index, node in enumerate(roots[doc].iter_preorder()):
         if index == position:
             return node

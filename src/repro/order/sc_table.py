@@ -18,10 +18,17 @@ re-labeling", Section 5.4); :meth:`SCTable.shift_orders_from` and
 :meth:`SCTable.register` return how many records they touched so the
 Figure 18 experiment can charge exactly that.
 
+Uniform shifts: when every member of a record moves by the same ``k``
+(the record lies wholly after an insertion point), the CRT value moves to
+``(value + k) mod product`` — :meth:`CongruenceSystem.shift_residues` —
+with no modular inverse.  Only the one record straddling the insertion
+point pays the per-member basis update of ``set_residues``.
+
 Batching: inside a :meth:`SCTable.batch` context every record's
 :class:`~repro.primes.crt.CongruenceSystem` runs deferred and the records
-actually touched are re-solved **once each** when the outermost batch
-exits.  On top of that, the ``+1`` order shifts themselves are *coalesced*:
+actually touched are re-solved **at most once each** when the outermost
+batch exits (records that only shifted uniformly need no solve).  On top
+of that, the ``+1`` order shifts themselves are *coalesced*:
 :meth:`shift_orders_from` appends the threshold to a pending list and only
 maintains two exact per-record aggregates (the maximum member order and a
 conservative minimum residue slack), so each shift costs O(records)
@@ -291,6 +298,7 @@ class SCTable:
         record.stale = False
         updates: Dict[int, int] = {}
         overflowed: List[Tuple[int, int]] = []
+        steps: Set[int] = set()  # distinct shifts of the moved members
         shifted = 0
         cur_max, cur_slack = -1, _NO_SLACK
         system = record.system
@@ -307,13 +315,19 @@ class SCTable:
                 continue  # unregistered by the caller; keep it out of the caches
             if order > base:
                 updates[modulus] = order
+                steps.add(order - base)
                 shifted += order - base
             if order > cur_max:
                 cur_max = order
             slack = modulus - order
             if slack < cur_slack:
                 cur_slack = slack
-        if updates:
+        if len(updates) == len(system) and len(steps) == 1:
+            # Every member moved by the same k (so none overflowed): the
+            # record keeps its cached CRT value as (value + k) mod product
+            # and batch exit need not re-solve it.
+            system.shift_residues(steps.pop())
+        elif updates:
             system.set_residues(updates)
         record.cur_max = cur_max
         record.cur_slack = cur_slack
@@ -350,10 +364,12 @@ class SCTable:
         repairs, which are forced to surface at the very operation that
         caused them.  When the outermost context exits — on success *or*
         failure, so no system is ever left deferred — all residues are
-        folded and each record touched during the batch is re-solved
-        exactly once (metric ``sc.batch_solves``).  Records the batch
-        never touched keep their cached values untouched.  Contexts nest;
-        only the outermost one commits.
+        folded and each record touched during the batch is re-solved at
+        most once (metric ``sc.batch_solves``): a record whose members all
+        moved by the same ``k`` keeps its cached value as
+        ``(value + k) mod product`` and needs no solve at all.  Records
+        the batch never touched keep their cached values untouched.
+        Contexts nest; only the outermost one commits.
         """
         self._batch_depth += 1
         if self._batch_depth == 1:
@@ -370,9 +386,13 @@ class SCTable:
                 dirty, self._batch_dirty = self._batch_dirty, set()
                 for record in self._records:
                     record.system.end_deferred()
+                solves = 0
                 for index in sorted(dirty):
-                    self._records[index].system.value  # the one solve per record
-                metrics.incr("sc.batch_solves", len(dirty))
+                    system = self._records[index].system
+                    if not system.solved:
+                        system.value  # the one solve per record
+                        solves += 1
+                metrics.incr("sc.batch_solves", solves)
 
     # ------------------------------------------------------------------
     # Mutation
@@ -510,7 +530,10 @@ class SCTable:
                     overflow_here = True
                 else:
                     updates[modulus] = residue + 1
-            if updates:
+            if updates and len(updates) == len(record.system):
+                record.system.shift_residues(1)  # whole record: no inverses
+                shifted += len(updates)
+            elif updates:
                 record.system.set_residues(updates)
                 shifted += len(updates)
             if updates or overflow_here:
@@ -588,7 +611,18 @@ class SCTable:
         return all(record.system.check() for record in self._records)
 
     def orders(self) -> Dict[int, int]:
-        """Snapshot mapping self-label -> order for every registered node."""
-        return {
-            self_label: self.order_of(self_label) for self_label in self._record_of
-        }
+        """Snapshot mapping self-label -> order for every registered node.
+
+        Outside a batch every stored residue is exact, so the snapshot is
+        one C-level merge of each record's residue map (MVCC publication
+        reads it for every row); inside one, pending shifts are replayed
+        per label by :meth:`order_of`.
+        """
+        if self._batch_depth:
+            return {
+                self_label: self.order_of(self_label) for self_label in self._record_of
+            }
+        result: Dict[int, int] = {}
+        for record in self._records:
+            result.update(record.system._congruences)
+        return result

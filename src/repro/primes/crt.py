@@ -115,11 +115,13 @@ class CongruenceSystem:
 
     * :meth:`append` — add a congruence for a newly inserted node,
     * :meth:`set_residues` — rewrite several residues at once (the "+1 shift"
-      applied to nodes after an insertion point), and
+      applied to nodes after an insertion point),
+    * :meth:`shift_residues` — add the same amount to every residue (the
+      shift of a record lying wholly after an insertion point), and
     * :meth:`remove` — drop a congruence (node deletion; the paper notes
       deletions never disturb order, but dropping keeps the value small).
 
-    All three maintain the cached value incrementally (no from-scratch
+    All of them maintain the cached value incrementally (no from-scratch
     re-solve); between :meth:`begin_deferred` and :meth:`end_deferred` they
     skip even that and only update the residue map, leaving one lazy solve
     for the whole run of mutations.
@@ -176,6 +178,11 @@ class CongruenceSystem:
             return self._congruences[modulus]
         except KeyError:
             raise KeyError(f"no congruence with modulus {modulus}") from None
+
+    @property
+    def solved(self) -> bool:
+        """Whether the value is cached (reading :attr:`value` costs no solve)."""
+        return self._value is not None
 
     @property
     def deferred(self) -> bool:
@@ -243,6 +250,22 @@ class CongruenceSystem:
                 delta += (residue - old) * basis
                 self._congruences[modulus] = residue
         self._value = (self._value + delta) % product
+
+    def shift_residues(self, k: int) -> None:
+        """Add ``k`` to every residue in O(1) CRT work.
+
+        If ``x mod m_i == n_i`` for every member then
+        ``(x + k) mod m_i == (n_i + k) mod m_i``, so the shifted system's
+        value is ``(x + k) mod P`` — no basis element, no inverse.  This is
+        the SC table's common case: an insertion's ``+1`` shift moves every
+        member of each record past the insertion point.  The cached value
+        is kept even in deferred mode (it is one addition), so a record
+        that only ever shifts uniformly needs no solve at batch exit.
+        """
+        for modulus, residue in self._congruences.items():
+            self._congruences[modulus] = (residue + k) % modulus
+        if self._value is not None:
+            self._value = (self._value + k) % self.product
 
     def remove(self, modulus: int) -> None:
         """Drop the congruence for ``modulus`` in O(1) CRT work.

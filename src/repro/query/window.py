@@ -172,6 +172,31 @@ class WindowIndex:
                 entry.post = entry.pre + entry.size - 1 - entry.level
         return index
 
+    def clone(self) -> "WindowIndex":
+        """An independent copy of the columns that shares the rows.
+
+        MVCC publication uses this: the writer keeps shifting ``pre``,
+        ``post`` and ``size`` on its own entries, so a published version
+        needs fresh entries, but the rows they point at are immutable and
+        shared.  One pass over each document's ``by_pre`` builds the new
+        entries; ``pre`` is an entry's index in ``by_pre``, so the per-tag
+        lists are rebuilt by looking their entries up by ``pre``, with no
+        sorting and nothing re-derived from the rows.
+        """
+        copy = WindowIndex()
+        for doc_id, doc in self._docs.items():
+            twin = copy._docs[doc_id] = DocWindow()
+            by_pre = twin.by_pre = [
+                WindowEntry(entry.row, entry.pre, entry.post, entry.level, entry.size)
+                for entry in doc.by_pre
+            ]
+            twin.by_id = {entry.row.element_id: entry for entry in by_pre}
+            twin.by_tag = {
+                tag: [by_pre[entry.pre] for entry in bucket]
+                for tag, bucket in doc.by_tag.items()
+            }
+        return copy
+
     # ------------------------------------------------------------------
     # Read access
     # ------------------------------------------------------------------
@@ -248,6 +273,12 @@ class WindowIndex:
         metrics.incr("window.inserts")
         metrics.incr("window.entries_shifted", shifted)
         return entry
+
+    def replace_row(self, old: "ElementRow", new: "ElementRow") -> None:
+        """Point ``old``'s entry at ``new``, a replacement row for the
+        same element (rows are immutable; see ``LabelStore.refresh_labels``).
+        """
+        self._docs[old.doc_id].by_id[old.element_id].row = new
 
     def apply_delete(self, row: "ElementRow") -> List[WindowEntry]:
         """Drop ``row``'s whole subtree from the index; returns the entries.

@@ -33,6 +33,25 @@ def book_tree() -> XmlElement:
     )
 
 
+@pytest.fixture
+def gcd_calls(monkeypatch):
+    """Every ``extended_gcd`` call (CRT merges and modular inverses alike)
+    is appended to the returned list for the duration of the test."""
+    import repro.primes.crt as crt
+    import repro.primes.euclid as euclid
+
+    calls = []
+    real = euclid.extended_gcd
+
+    def counting(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(euclid, "extended_gcd", counting)
+    monkeypatch.setattr(crt, "extended_gcd", counting)
+    return calls
+
+
 def tree_menagerie():
     """A list of (name, tree) covering the structural corner cases."""
     return [

@@ -77,6 +77,19 @@ TRIGGERS = [
         "        return self.store\n",
     ),
     (
+        # Sharing the writer's live store (its rows *and* its containers)
+        # without frozen_copy() is not structural sharing: it publishes
+        # state the writer keeps patching.
+        "R15",
+        "src/repro/query/bad3.py",
+        "class C:\n"
+        "    def publish_view(self, applied_seq=0):{S}\n"
+        "        with self._lock:\n"
+        "            store = self.engine.store\n"
+        "            self._latest = store\n"
+        "        return store\n",
+    ),
+    (
         "R16",
         "src/repro/durable/wal.py",
         '_OPCODES = {{"insert_child": 1, "ghost": 2}}{S}\n'
@@ -179,6 +192,17 @@ CLEAN = [
         "def consume(source):\n"
         "    view = source.publish_view()\n"
         '    return view.query("//a")\n',
+    ),
+    # R15: the share-on-publish shape — frozen_copy() shares the rows and
+    # copies the containers — satisfies the freeze check.
+    (
+        "src/repro/query/good_view2.py",
+        "class C:\n"
+        "    def publish_view(self, applied_seq=0):\n"
+        "        with self._lock:\n"
+        "            store = self.engine.store.frozen_copy()\n"
+        "            self._latest = store\n"
+        "        return store\n",
     ),
     # R16: consistent opcode tables.
     (

@@ -125,6 +125,40 @@ TRIGGERS = [
         "    self.engine.store.insert_row(doc, node, label){S}\n",
     ),
     (
+        "R11",
+        "src/repro/query/live.py",
+        "def sneak(self, old, new):\n"
+        "    self.engine.store.windows.replace_row(old, new){S}\n",
+    ),
+    # R11 row immutability: published views share rows, so no module —
+    # the store itself included — may write a row's field in place.
+    (
+        "R11",
+        "src/repro/query/store.py",
+        "def refresh(self, node, label):\n"
+        "    target = self._row_by_node.get(id(node))\n"
+        "    target.depth = label{S}\n",
+    ),
+    (
+        "R11",
+        "src/repro/replica/bad.py",
+        "def damage(view):\n"
+        "    view.engine.store.rows[2].parent_id = 10{S}\n",
+    ),
+    (
+        "R11",
+        "src/repro/query/bad3.py",
+        "def damage(entry):\n"
+        "    setattr(entry.row, 'text', ''){S}\n",
+    ),
+    (
+        "R11",
+        "src/repro/bench/bad3.py",
+        "def damage(store):\n"
+        "    for item in store.rows_with_tag(0, 'a'):\n"
+        "        item.tag = 'b'{S}\n",
+    ),
+    (
         "R12",
         "src/repro/durable/bad.py",
         "import threading{S}\n",
@@ -249,6 +283,23 @@ CLEAN = [
         "    self.engine.store.insert_row(doc, node, label)\n",
     ),
     ("src/repro/query/engine.py", "from repro.query.window import WindowEntry\n"),
+    # R11: a relabel builds a new row and swaps it in; entries may be
+    # re-pointed; tree nodes are not rows; ElementRow may build itself.
+    (
+        "src/repro/query/store.py",
+        "from dataclasses import replace\n\n"
+        "def ok(self, old, label):\n"
+        "    new = replace(old, label=label)\n"
+        "    self._row_by_id[new.element_id] = new\n"
+        "    self.windows.replace_row(old, new)\n",
+    ),
+    ("src/repro/query/window.py", "def ok(entry, new):\n    entry.row = new\n"),
+    ("src/repro/datasets/good.py", "def ok(child):\n    child.text = 'x'\n"),
+    (
+        "src/repro/query/store.py",
+        "class ElementRow:\n    def __post_init__(self):\n"
+        "        self.text = self.text.strip()\n",
+    ),
     # R11 matches store-ish receivers only: an unrelated table is fine.
     ("src/repro/resilient/good2.py", "def ok(self, row):\n    self.table.insert_row(row)\n"),
     # R12: the replication layer and the MVCC publish path own threading.
@@ -301,3 +352,14 @@ def test_directive_for_other_rule_does_not_suppress():
     source = "def debug(x):\n    print(x)  # repro: ignore[R4] -- wrong rule\n"
     report = _lint(source, "src/repro/order/bad.py")
     assert [f.rule for f in report.findings] == ["R9"]
+
+
+def test_r11_knows_every_element_row_field():
+    """R11's row-write check names ElementRow's fields; a new column must
+    be added there too, or writes to it would go unflagged."""
+    from dataclasses import fields
+
+    from repro.analysis.rules import ROW_FIELDS
+    from repro.query.store import ElementRow
+
+    assert ROW_FIELDS == {f.name for f in fields(ElementRow)}

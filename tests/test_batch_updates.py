@@ -488,3 +488,24 @@ def test_compact_returns_per_document_record_counts():
     ]
     assert collection.check()
     assert_audit_clean(collection)
+
+
+def test_insert_after_a_batch_pays_inverses_for_the_straddling_record_only(
+    gcd_calls,
+):
+    """Batch exit caches every touched record's CRT value.  A later single
+    insert must shift the records after it by ``(value + 1) mod product``
+    rather than one basis inverse per member: its extended-gcd count stays
+    bounded by the SC group size, whatever the document size."""
+    from repro.datasets.shakespeare import play
+
+    collection = LiveCollection([play(seed=3, acts=2, node_budget=400)], group_size=5)
+    nodes = list(collection.documents[0].iter_preorder())
+    collection.apply_batch([BatchOp.insert_child(nodes[50], 0, tag="LINE")])
+    for target in (nodes[100], nodes[200], nodes[300]):
+        gcd_calls.clear()
+        collection.insert_child(target, 0, tag="LINE")
+        # the new member's merge, the straddling record's moved members,
+        # and at most one relabel: well under one call per shifted record
+        assert len(gcd_calls) <= 2 * 5, len(gcd_calls)
+    assert collection.check()

@@ -255,3 +255,74 @@ class TestReplayFidelity:
         for query, count in expected.items():
             assert recovered.count(query) == count
         recovered.close()
+
+
+class TestReplayAddressing:
+    """WAL addresses are preorder positions.  A collection with cached
+    window columns (a replica applying what it polls) resolves them by pre
+    rank; one without (recovery) walks the tree and builds no engine."""
+
+    def test_pre_rank_lookup_equals_the_walk_after_single_ops_and_batches(
+        self, tmp_path
+    ):
+        from repro.durable.recovery import _node_at
+        from repro.query import BatchOp
+        from repro.replica import ReplicaCollection
+
+        rng = random.Random(11)
+        primary = DurableCollection.create(
+            tmp_path / "col",
+            [parse_document(BASE_DOC), parse_document("<s><t/><u><v/></u></s>")],
+            fsync="never",
+        )
+        replica = ReplicaCollection(tmp_path / "col")
+        checked = 0
+        try:
+            for step in range(60):
+                root = primary.documents[rng.randrange(2)]
+                nodes = list(root.iter_preorder())
+                target = nodes[rng.randrange(len(nodes))]
+                roll = rng.random()
+                if roll < 0.2:
+                    primary.apply_batch(
+                        [BatchOp.insert_child(target, 0, tag=f"b{step}")]
+                        + [BatchOp.insert_child(root, 0, tag=f"c{step}")] * 2
+                    )
+                elif roll < 0.35 and target is not root and len(nodes) > 6:
+                    primary.delete(target)
+                elif roll < 0.55 and target is not root:
+                    primary.insert_after(target, tag=f"a{step}")
+                elif roll < 0.7 and target is not root:
+                    primary.insert_before(target, tag=f"p{step}")
+                else:
+                    primary.insert_child(target, len(target.children), tag=f"n{step}")
+                replica.poll()
+                live = replica.live
+                for doc, doc_root in enumerate(live.documents):
+                    for position, walked in enumerate(doc_root.iter_preorder()):
+                        assert live.cached_node_at(doc, position) is walked
+                        assert _node_at(live, doc, position) is walked
+                        checked += 1
+                    assert live.cached_node_at(doc, position + 1) is None
+            assert replica.applied_seq == primary.last_seq
+            assert collection_fingerprint(replica.live) == collection_fingerprint(
+                primary.live
+            )
+        finally:
+            replica.close()
+            primary.close()
+        assert checked > 1000
+
+    def test_without_an_engine_the_walk_answers_and_none_is_built(self):
+        from repro.durable.recovery import _node_at
+        from repro.obs import metrics
+        from repro.query import LiveCollection
+
+        live = LiveCollection([parse_document(BASE_DOC)])
+        walk = list(live.documents[0].iter_preorder())
+        with metrics.collecting() as registry:
+            for position, walked in enumerate(walk):
+                assert live.cached_node_at(0, position) is None
+                assert _node_at(live, 0, position) is walked
+            rebuilds = registry.counter_value("live.engine_rebuilds")
+        assert rebuilds == 0

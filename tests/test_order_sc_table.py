@@ -265,3 +265,54 @@ class TestCapacityErrors:
                 table.set_order(5, 7)
             counters = registry.snapshot()["counters"]
         assert counters["sc.capacity_errors"] == 1
+
+
+class TestUniformShift:
+    """A record lying wholly after the threshold shifts its cached CRT value
+    by ``(value + 1) mod product`` — no basis element, no inverse."""
+
+    PRIMES = (11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+    def cached_table(self):
+        table = SCTable(group_size=3)
+        with table.batch():  # batch exit solves and caches every record
+            for order, prime in enumerate(self.PRIMES, start=1):
+                table.register(prime, order)
+        assert all(record.system.solved for record in table)
+        return table
+
+    def test_whole_record_shifts_call_extended_gcd_zero_times(self, gcd_calls):
+        table = self.cached_table()
+        gcd_calls.clear()
+        # records: orders (1,2,3), (4,5,6), (7,8,9); threshold 4 moves the
+        # last two records wholly and leaves the first alone
+        assert table.shift_orders_from(4) == (2, [])
+        assert gcd_calls == []
+        assert all(record.system.solved for record in table)
+        assert table.check()
+        assert table.orders() == {
+            prime: order + (order >= 4)
+            for order, prime in enumerate(self.PRIMES, start=1)
+        }
+
+    def test_only_the_straddling_record_pays_inverses(self, gcd_calls):
+        table = self.cached_table()
+        gcd_calls.clear()
+        # threshold 2 splits the first record: its two moved members each
+        # need one basis inverse; the other two records shift for free
+        assert table.shift_orders_from(2) == (3, [])
+        assert len(gcd_calls) == 2
+        assert table.check()
+
+    def test_batch_exit_skips_records_that_only_shifted_uniformly(self):
+        from repro.obs import metrics
+
+        table = self.cached_table()
+        with metrics.collecting() as registry:
+            with table.batch():
+                table.shift_orders_from(4)
+                table.shift_orders_from(8)  # record 3 moves by 2, record 2 by 1
+            solves = registry.counter_value("sc.batch_solves")
+        assert solves == 0
+        assert table.check()
+        assert table.orders()[41] == 11 and table.orders()[23] == 6

@@ -121,3 +121,21 @@ class TestCrtProperties:
         assert live.check()
         for m, r in updates.items():
             assert live.value % m == r
+
+
+class TestUniformShiftProperties:
+    """``shift_residues(k)`` moves the value to ``(value + k) mod P``."""
+
+    @given(coprime_congruences(), st.integers(0, 10**4), st.booleans())
+    def test_shifted_value_equals_solve_of_shifted_residues(self, system, k, deferred):
+        moduli, residues = system
+        live = CongruenceSystem(moduli, residues)
+        live.value  # cache it: the shift must maintain, not drop, the value
+        if deferred:
+            live.begin_deferred()
+        live.shift_residues(k)
+        shifted = [(r + k) % m for m, r in zip(moduli, residues)]
+        assert live.solved
+        assert [live.residue(m) for m in moduli] == shifted
+        assert live.value == solve_congruences(moduli, shifted)
+        assert live.check()

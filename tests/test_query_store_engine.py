@@ -179,3 +179,29 @@ class TestEngineMisc:
 
         with pytest.raises(QueryEvaluationError):
             engine.evaluate(Query(steps=()))
+
+
+class TestRefreshLabels:
+    """Rows are immutable: a refresh swaps in new rows everywhere."""
+
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_refresh_swaps_rows_and_leaves_the_old_ones_alone(self, shuffled):
+        built = LabelStore.build([parse_document("<r><a><b/></a><c/><d/></r>")])
+        rows = list(built.rows)
+        if shuffled:  # a hand-assembled store whose rows are not in id order
+            rows = rows[::-1]
+        store = LabelStore(rows, built.ops)
+        targets = [row.node for row in rows if row.tag in ("b", "d")]
+        before = {id(row): (row, row.label) for row in rows}
+        assert store.refresh_labels(targets, lambda node: f"new-{node.tag}") == 2
+        for node in targets:
+            new = store.row_of(node)
+            old, label = next(
+                (row, label) for row, label in before.values() if row.node is node
+            )
+            assert new is not old and old.label == label
+            assert new.label == f"new-{node.tag}"
+            assert new in store.rows and old not in store.rows
+            assert store.rows_with_tag(new.doc_id, new.tag) == [new]
+            assert new in store.rows_in_doc(new.doc_id)
+        assert [row.element_id for row in store.rows] == [row.element_id for row in rows]
